@@ -8,10 +8,13 @@
 // The package itself is the public facade. An Engine owns the secret key
 // and version discipline; Engine.CreateTable provisions an encrypted table
 // through a pluggable Backend and returns a Table handle; Table.Query runs
-// the weighted-sum protocol through the concurrent query engine — NDP
-// ciphertext sums, OTP share regeneration, and tag-pad sums overlapped,
-// with the pad loop sharded across a worker pool (the software analogue of
-// the paper's multiple OTP engines, §V-C2):
+// the weighted-sum protocol through the single query engine — one fused
+// keystream pass regenerates the OTP shares and tag pads on the caller's
+// goroutine, the OTP PU mirroring the NDP PU in lockstep (§V-C2). For
+// in-process NDPs the two halves run one after the other; a remote or
+// cluster NDP's round trip overlaps the pad pass. WithParallelism shards
+// the pad pass across workers only for queries of 128 rows or more and
+// for batches:
 //
 //	eng, _ := secndp.New(key, secndp.WithParallelism(8), secndp.WithPadCache(1024))
 //	mem := secndp.NewMemory()
@@ -137,7 +140,7 @@
 // The repository layout behind the facade:
 //
 //   - internal/core — the SecNDP scheme itself (Algorithms 1–8) and the
-//     concurrent query engine (parallel.go, padcache.go).
+//     single query engine (parallel.go, padcache.go).
 //   - internal/cluster — the shard map and scatter-gather NDP behind
 //     ClusterBackend.
 //   - internal/{ring,field,otp,memory} — the crypto and memory substrates.

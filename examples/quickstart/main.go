@@ -6,7 +6,7 @@
 // weighted summation over the ciphertext (Algorithm 4), and the engine
 // decrypts with one addition and verifies the result against an encrypted
 // linear checksum (Algorithm 5) — all behind a single Query call running
-// the concurrent query engine.
+// the query engine.
 //
 //	go run ./examples/quickstart
 package main

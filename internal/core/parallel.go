@@ -13,18 +13,21 @@ import (
 	"secndp/internal/telemetry"
 )
 
-// This file is the concurrent query engine: the software counterpart of the
-// paper's multiple OTP engines running ahead of the NDP (§V-C2). Pad
-// regeneration — the per-row AES loop that dominates the trusted side — is
-// sharded across a worker pool, and one query's three halves (NDP ciphertext
-// sums, OTP share sums, tag-pad sums) execute concurrently instead of
-// back-to-back.
+// This file is the single query engine: the software counterpart of the
+// paper's OTP PU mirroring one NDP PU in lockstep (§V-C2). The OTP half —
+// each row's data pads and tag pad out of one fused keystream pass — runs
+// on the caller's goroutine, sharded across a worker pool only for queries
+// long enough to repay the goroutine start-up. The NDP half runs inline
+// for in-process NDPs and overlaps the OTP half in one background
+// goroutine only for round-trip (ContextNDP) transports.
 
-// QueryOptions tunes one query or batch through the concurrent engine.
+// QueryOptions tunes one query or batch through the query engine.
 // The zero value selects GOMAXPROCS workers, no cache, no verification.
 type QueryOptions struct {
-	// Workers is the OTP-side parallelism (goroutines sharding the pad
-	// loop). <= 0 selects GOMAXPROCS.
+	// Workers is the OTP-side parallelism: goroutines sharding the pad
+	// loop of a query of at least 2·ctxCheckStride (128) rows, or of a
+	// batch. Shorter queries run on the caller's goroutine. <= 0 selects
+	// GOMAXPROCS.
 	Workers int
 	// Cache, when non-nil, serves hot rows' pads without AES regeneration.
 	// The cache must be dedicated to this table and version.
@@ -32,9 +35,9 @@ type QueryOptions struct {
 	// Verify runs Algorithm 5 (encrypted-MAC check) after Algorithm 4.
 	Verify bool
 	// Phases, when non-nil, receives the query's per-phase wall-clock
-	// breakdown. The phases overlap in real time (the NDP round trip runs
-	// concurrently with the OTP and tag halves), so they do not sum to the
-	// query's total latency — each is that half's own elapsed time.
+	// breakdown. For in-process NDPs the phases run one after the other;
+	// a round-trip NDP overlaps the pad and tag phases, so then they do
+	// not sum to the query's total latency.
 	Phases *PhaseTimes
 	// Stats, when non-nil, receives batch-coalescing counters from
 	// QueryBatchCtx (ignored by single-query entry points).
@@ -42,10 +45,11 @@ type QueryOptions struct {
 }
 
 // PhaseTimes is one query's anatomy: how long each architectural half
-// took. Pad is the OTP-share regeneration + accumulate, NDP the untrusted
-// round trip (ciphertext sums, plus tag sums when verifying), Tag the
-// tag-pad field sum, Verify the final join (share addition, checksum
-// recompute, MAC compare). Phases that did not run stay zero.
+// took. Pad is the fused keystream pass (data-pad share regeneration +
+// accumulate, and the tag pads when verifying), NDP the untrusted round
+// trip (ciphertext sums, plus tag sums when verifying), Tag the tag-pad
+// field fold, Verify the final join (share addition, checksum recompute,
+// MAC compare). Phases that did not run stay zero.
 type PhaseTimes struct {
 	Pad, NDP, Tag, Verify time.Duration
 }
@@ -68,164 +72,114 @@ func (o QueryOptions) workerCount(items int) int {
 // cancellation checks.
 const ctxCheckStride = 64
 
-// otpWeightedSumRange accumulates weights[k]·pad(idx[k]) for k in [lo,hi)
-// into acc — one worker's shard of OTPWeightedSum. The uncached path is the
-// fused generate-unpack-multiply-accumulate kernel, allocation-free in the
-// steady state; only cache misses that must populate the cache materialize
-// an unpacked pad vector.
-func (t *Table) otpWeightedSumRange(ctx context.Context, idx []int, weights []uint64, lo, hi int, cache *PadCache, acc []uint64) error {
+// otpRange runs the OTP half over idx[lo:hi] in ctxCheckStride-row
+// chunks, checking for cancellation between them: acc accumulates
+// weights[k]·pad(idx[k]), and when tagPads is non-nil,
+// tagPads[16k:16k+16] receives row idx[k]'s tag pad. Uncached verified
+// chunks go through the fused pad+tag kernel; only cache misses
+// materialize an unpacked pad vector.
+func (t *Table) otpRange(ctx context.Context, idx []int, weights []uint64, lo, hi int, cache *PadCache, acc []uint64, tagPads []byte) error {
 	we := t.geo.Params.We
-	var buf []byte // staging for cache insertion; unused on the fused path
+	var buf []byte // staging for cache insertion
 	if cache != nil {
 		bp, b := getByteScratch(t.geo.Params.RowBytes())
 		defer putByteScratch(bp)
 		buf = b
 	}
-	for k := lo; k < hi; k++ {
-		if (k-lo)%ctxCheckStride == 0 && ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
+	var addrs [ctxCheckStride]uint64
+	for k := lo; k < hi; k += ctxCheckStride {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		end := min(k+ctxCheckStride, hi)
+		a := addrs[:end-k]
+		for r := range a {
+			a[r] = t.geo.Layout.RowAddr(idx[k+r])
+		}
+		var tags []byte
+		if tagPads != nil {
+			tags = tagPads[k*otp.BlockBytes : end*otp.BlockBytes]
+		}
+		switch {
+		case cache != nil:
+			for r, addr := range a {
+				pads, ok := cache.get(idx[k+r])
+				if !ok {
+					t.scheme.gen.PadsInto(buf, otp.DomainData, addr, t.version)
+					pads = t.r.UnpackElems(buf)
+					cache.put(idx[k+r], pads)
+				}
+				t.r.ScaleAccum(acc, weights[k+r], pads)
+			}
+			if tags != nil {
+				t.scheme.gen.TagPads(tags, a, t.version)
+			}
+		case tags != nil:
+			t.scheme.gen.PadTagScaleAccum(acc, we, weights[k:end], a, t.version, tags)
+		default:
+			for r, addr := range a {
+				t.scheme.gen.PadScaleAccum(acc, weights[k+r], we, otp.DomainData, addr, t.version)
 			}
 		}
-		i := idx[k]
-		if cache != nil {
-			pads, ok := cache.get(i)
-			if !ok {
-				t.scheme.gen.PadsInto(buf, otp.DomainData, t.geo.Layout.RowAddr(i), t.version)
-				pads = t.r.UnpackElems(buf)
-				cache.put(i, pads)
-			}
-			t.r.ScaleAccum(acc, weights[k], pads)
-			continue
-		}
-		t.scheme.gen.PadScaleAccum(acc, weights[k], we, otp.DomainData, t.geo.Layout.RowAddr(i), t.version)
 	}
 	return nil
 }
 
-// OTPWeightedSumCtx is OTPWeightedSum through the worker pool: the index
-// list is split into contiguous shards, each worker accumulates its partial
-// share vector, and the partials merge with ring additions (addition
-// commutes with the sharding, so the result is bit-identical to the serial
-// path). opts.Verify is ignored.
-func (t *Table) OTPWeightedSumCtx(ctx context.Context, idx []int, weights []uint64, opts QueryOptions) ([]uint64, error) {
-	if len(idx) != len(weights) {
-		return nil, fmt.Errorf("core: %d indices vs %d weights", len(idx), len(weights))
+// otpShares runs the OTP half of one query into eres (zeroed, length M)
+// and, when tagPads is non-nil, tagPads (16 bytes per row). A query of at
+// least 2·ctxCheckStride rows splits into contiguous shards of at least
+// ctxCheckStride rows across up to opts.Workers goroutines, the caller's
+// included: partial share vectors merge with ring additions (addition
+// commutes with the sharding, so the result is bit-identical to the
+// serial walk) and tag pads land in disjoint slices.
+func (t *Table) otpShares(ctx context.Context, idx []int, weights []uint64, opts QueryOptions, eres []uint64, tagPads []byte) error {
+	n := len(idx)
+	w := 1
+	if n >= 2*ctxCheckStride {
+		w = opts.workerCount(n / ctxCheckStride)
 	}
-	acc := make([]uint64, t.geo.Params.M)
-	if len(idx) == 0 {
-		return acc, nil
-	}
-	w := opts.workerCount(len(idx))
 	if w == 1 {
-		if err := t.otpWeightedSumRange(ctx, idx, weights, 0, len(idx), opts.Cache, acc); err != nil {
-			return nil, err
-		}
-		return acc, nil
+		return t.otpRange(ctx, idx, weights, 0, n, opts.Cache, eres, tagPads)
 	}
-	chunk := (len(idx) + w - 1) / w
-	partials := make([][]uint64, 0, w)
-	tokens := make([]*[]uint64, 0, w)
+	chunk := (n + w - 1) / w
 	errs := make([]error, w)
+	toks := make([]*[]uint64, w)
+	parts := make([][]uint64, w)
 	var wg sync.WaitGroup
-	for s := 0; s < w; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		if lo >= hi {
-			break
-		}
-		tok, part := getU64Zeroed(t.geo.Params.M)
-		partials = append(partials, part)
-		tokens = append(tokens, tok)
-		wg.Add(1)
-		go func(s, lo, hi int, part []uint64) {
-			defer wg.Done()
-			errs[s] = t.otpWeightedSumRange(ctx, idx, weights, lo, hi, opts.Cache, part)
-		}(s, lo, hi, part)
-	}
-	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr == nil {
-		for _, part := range partials {
-			t.r.AddVec(acc, acc, part)
-		}
-	}
-	for _, tok := range tokens {
-		putU64Scratch(tok)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return acc, nil
-}
-
-// TagPadSumCtx is TagPadSum through the worker pool, merging partial field
-// sums with field additions. Tag pads are one AES block per row (no cache:
-// regeneration is as cheap as a lookup).
-func (t *Table) TagPadSumCtx(ctx context.Context, idx []int, weights []uint64, opts QueryOptions) (field.Elem, error) {
-	if len(idx) != len(weights) {
-		return field.Zero, fmt.Errorf("core: %d indices vs %d weights", len(idx), len(weights))
-	}
-	// Each worker walks its shard in ctxCheckStride-row chunks through the
-	// batched kernel (gathered multi-block tag-pad encryption + vectorized
-	// field accumulation), checking for cancellation between chunks.
-	sumRange := func(lo, hi int) (field.Elem, error) {
-		acc := field.Zero
-		for k := lo; k < hi; k += ctxCheckStride {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return field.Zero, err
-				}
-			}
-			end := k + ctxCheckStride
-			if end > hi {
-				end = hi
-			}
-			acc = field.Add(acc, t.tagPadSumRange(idx, weights, k, end))
-		}
-		return acc, nil
-	}
-	w := opts.workerCount(len(idx))
-	if w <= 1 {
-		return sumRange(0, len(idx))
-	}
-	chunk := (len(idx) + w - 1) / w
-	parts := make([]field.Elem, w)
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for s := 0; s < w; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		if lo >= hi {
-			break
-		}
+	for s := 1; s < w && s*chunk < n; s++ {
+		toks[s], parts[s] = getU64Zeroed(len(eres))
 		wg.Add(1)
 		go func(s, lo, hi int) {
 			defer wg.Done()
-			parts[s], errs[s] = sumRange(lo, hi)
-		}(s, lo, hi)
+			errs[s] = t.otpRange(ctx, idx, weights, lo, hi, opts.Cache, parts[s], tagPads)
+		}(s, s*chunk, min((s+1)*chunk, n))
 	}
+	errs[0] = t.otpRange(ctx, idx, weights, 0, chunk, opts.Cache, eres, tagPads)
 	wg.Wait()
-	acc := field.Zero
+	var err error
 	for s := range parts {
-		if errs[s] != nil {
-			return field.Zero, errs[s]
+		if err == nil {
+			err = errs[s]
 		}
-		acc = field.Add(acc, parts[s])
+		if toks[s] != nil {
+			t.r.AddVec(eres, eres, parts[s])
+			putU64Scratch(toks[s])
+		}
 	}
-	return acc, nil
+	return err
+}
+
+// foldTagPads returns Σ_k weights[k]·E_T[k] mod q over gathered tag pads
+// (16 bytes each) through the vectorized field kernel.
+func foldTagPads(tagPads []byte, weights []uint64) field.Elem {
+	ep, elems := getElemScratch(len(weights))
+	for k := range elems {
+		elems[k] = field.FromBytes(tagPads[k*otp.BlockBytes:])
+	}
+	var acc field.Acc
+	acc.ScaleAccum(elems, weights)
+	putElemScratch(ep)
+	return acc.Sum()
 }
 
 // ndpOutputs collects what one query needs from the NDP side.
@@ -236,19 +190,33 @@ type ndpOutputs struct {
 	dur   time.Duration // round-trip elapsed; set only when phases are recorded
 }
 
-// runNDP executes the ciphertext-side half of a query, preferring the
-// context-aware transport when the NDP offers one and converting panics
-// (the legacy transport's failure mode) into errors.
-func runNDP(ctx context.Context, ndp NDP, geo Geometry, idx []int, weights []uint64, verify bool) (out ndpOutputs) {
+// runNDP executes the ciphertext-side half of a query under an "ndp"
+// child span, preferring the context-aware transport when the NDP offers
+// one and converting panics (the legacy transport's failure mode) into
+// errors. The child context threads down into the cluster and wire
+// layers, so their spans nest under "ndp".
+func runNDP(ctx context.Context, span *telemetry.ActiveSpan, ndp NDP, geo Geometry, idx []int, weights []uint64, verify, timed bool) (out ndpOutputs) {
+	nctx, nspan := ctx, (*telemetry.ActiveSpan)(nil)
+	if span != nil {
+		nctx, nspan = span.StartChild(ctx, "ndp")
+	}
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			out.err = fmt.Errorf("core: ndp failed: %v", r)
 		}
+		if timed {
+			out.dur = time.Since(t0)
+		}
+		nspan.EndErr(out.err, telemetry.ErrClassTransport)
 	}()
-	if cn, ok := ndp.(ContextNDP); ok && ctx != nil {
-		out.cres, out.err = cn.WeightedSumContext(ctx, geo, idx, weights)
+	if cn, ok := ndp.(ContextNDP); ok {
+		out.cres, out.err = cn.WeightedSumContext(nctx, geo, idx, weights)
 		if out.err == nil && verify {
-			out.cTres, out.err = cn.TagSumContext(ctx, geo, idx, weights)
+			out.cTres, out.err = cn.TagSumContext(nctx, geo, idx, weights)
 		}
 		return
 	}
@@ -259,15 +227,16 @@ func runNDP(ctx context.Context, ndp NDP, geo Geometry, idx []int, weights []uin
 	return
 }
 
-// QueryCtx runs the weighted-summation protocol with every independent half
-// overlapped: the NDP computes its ciphertext sums in the background while
-// the worker pool regenerates the OTP shares and tag pads, mirroring the
-// paper's pipeline where the OTP engines run ahead of the NDP response
-// (§V-C2). With opts.Verify the encrypted-MAC check of Algorithm 5 runs on
-// the joined result; a rejected result returns ErrVerification.
+// QueryCtx runs the weighted-summation protocol of Algorithm 4 — and,
+// with opts.Verify, the encrypted-MAC check of Algorithm 5 on the joined
+// result (a rejected result returns ErrVerification). It is the one
+// single-query engine: every other single-query entry point wraps it.
 //
-// The serial Query / QueryVerified methods remain as the reference
-// implementation; QueryCtx computes bit-identical results.
+// The OTP half runs on the caller's goroutine (see otpShares for when it
+// shards). An in-process NDP runs inline after it; a round-trip
+// ContextNDP runs in one background goroutine so its round trip overlaps
+// the OTP half, mirroring the paper's OTP engines running ahead of the
+// NDP response (§V-C2). A nil ctx means context.Background().
 func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint64, opts QueryOptions) ([]uint64, error) {
 	if err := t.checkQuery(idx, weights); err != nil {
 		return nil, err
@@ -278,79 +247,59 @@ func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint
 	if ctx == nil {
 		ctx = context.Background()
 	}
-
 	pt := opts.Phases
 	// Architectural-phase child spans when the context carries a trace;
 	// nil span (the common untraced path) makes every call below a
-	// nil-check no-op. The NDP half's child context threads down into
-	// the cluster and wire layers, so their spans nest under "ndp".
+	// nil-check no-op.
 	span := telemetry.SpanFromContext(ctx)
+	var ndpCh chan ndpOutputs
+	if _, ok := ndp.(ContextNDP); ok {
+		ndpCh = make(chan ndpOutputs, 1)
+		go func() { ndpCh <- runNDP(ctx, span, ndp, t.geo, idx, weights, opts.Verify, pt != nil) }()
+	}
 
-	// Ciphertext side in the background.
-	ndpCh := make(chan ndpOutputs, 1)
-	go func() {
-		nctx, nspan := ctx, (*telemetry.ActiveSpan)(nil)
-		if span != nil {
-			nctx, nspan = span.StartChild(ctx, "ndp")
-		}
-		var t0 time.Time
+	ep, eres := getU64Zeroed(t.geo.Params.M)
+	defer putU64Scratch(ep)
+	var tagPads []byte
+	if opts.Verify {
+		tp, b := getByteScratch(len(idx) * otp.BlockBytes)
+		defer putByteScratch(tp)
+		tagPads = b
+	}
+	var t0 time.Time
+	if pt != nil {
+		t0 = time.Now()
+	}
+	pspan := span.Child("pad")
+	err := t.otpShares(ctx, idx, weights, opts, eres, tagPads)
+	pspan.EndErr(err, telemetry.ErrClassCanceled)
+	if pt != nil {
+		pt.Pad = time.Since(t0)
+	}
+	var eTres field.Elem
+	if err == nil && opts.Verify {
 		if pt != nil {
 			t0 = time.Now()
 		}
-		out := runNDP(nctx, ndp, t.geo, idx, weights, opts.Verify)
+		tspan := span.Child("tag")
+		eTres = foldTagPads(tagPads, weights)
+		tspan.End()
 		if pt != nil {
-			out.dur = time.Since(t0)
+			pt.Tag = time.Since(t0)
 		}
-		nspan.EndErr(out.err, telemetry.ErrClassTransport)
-		ndpCh <- out
-	}()
+	}
 
-	// Processor side: OTP shares and tag pads, each through the pool.
-	var (
-		eTres   field.Elem
-		tagErr  error
-		tagDone chan struct{}
-	)
-	if opts.Verify {
-		tagDone = make(chan struct{})
-		go func() {
-			// pt.Tag is written before close(tagDone) and read after
-			// <-tagDone; the channel orders the accesses.
-			defer close(tagDone)
-			tspan := span.Child("tag")
-			var t0 time.Time
-			if pt != nil {
-				t0 = time.Now()
-			}
-			eTres, tagErr = t.TagPadSumCtx(ctx, idx, weights, opts)
-			if pt != nil {
-				pt.Tag = time.Since(t0)
-			}
-			tspan.EndErr(tagErr, telemetry.ErrClassCanceled)
-		}()
+	var nd ndpOutputs
+	if ndpCh != nil {
+		nd = <-ndpCh
+	} else if err == nil {
+		nd = runNDP(ctx, span, ndp, t.geo, idx, weights, opts.Verify, pt != nil)
 	}
-	pspan := span.Child("pad")
-	var padT0 time.Time
-	if pt != nil {
-		padT0 = time.Now()
-	}
-	eres, err := t.OTPWeightedSumCtx(ctx, idx, weights, opts)
-	if pt != nil {
-		pt.Pad = time.Since(padT0)
-	}
-	pspan.EndErr(err, telemetry.ErrClassCanceled)
-	if opts.Verify {
-		<-tagDone
-	}
-	nd := <-ndpCh
 	if pt != nil {
 		pt.NDP = nd.dur
 	}
 	if err != nil {
 		return nil, err
-	}
-	if opts.Verify && tagErr != nil {
-		return nil, tagErr
 	}
 	if nd.err != nil {
 		return nil, nd.err
@@ -360,25 +309,18 @@ func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint
 	}
 
 	vspan := span.Child("verify")
-	var verT0 time.Time
 	if pt != nil {
-		verT0 = time.Now()
+		t0 = time.Now()
 	}
 	res := t.Decrypt(nd.cres, eres)
-	if opts.Verify {
-		if !t.Checksum(res).Equal(field.Add(nd.cTres, eTres)) {
-			if pt != nil {
-				pt.Verify = time.Since(verT0)
-			}
-			vspan.EndErr(ErrVerification, telemetry.ErrClassVerify)
-			return nil, ErrVerification
-		}
+	if opts.Verify && !t.Checksum(res).Equal(field.Add(nd.cTres, eTres)) {
+		res, err = nil, ErrVerification
 	}
 	if pt != nil {
-		pt.Verify = time.Since(verT0)
+		pt.Verify = time.Since(t0)
 	}
-	vspan.End()
-	return res, nil
+	vspan.EndErr(err, telemetry.ErrClassVerify)
+	return res, err
 }
 
 // QueryBatchCtx runs many queries as one coalesced batch when the NDP

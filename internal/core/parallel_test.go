@@ -7,11 +7,25 @@ import (
 	"sync"
 	"testing"
 
+	"secndp/internal/field"
 	"secndp/internal/memory"
+	"secndp/internal/otp"
 )
 
-// Property: the sharded pad generator is bit-identical to the serial
-// reference implementation for every element width and worker count.
+// otpHalf runs the query engine's OTP half alone and returns the
+// data-pad share E_res and the tag-pad sum E_Tres.
+func otpHalf(ctx context.Context, tab *Table, idx []int, w []uint64, opts QueryOptions) ([]uint64, field.Elem, error) {
+	eres := make([]uint64, tab.geo.Params.M)
+	tagPads := make([]byte, len(idx)*otp.BlockBytes)
+	if err := tab.otpShares(ctx, idx, w, opts, eres, tagPads); err != nil {
+		return nil, field.Zero, err
+	}
+	return eres, foldTagPads(tagPads, w), nil
+}
+
+// Property: the OTP half — fused pad+tag pass, sharded above 128 rows — is
+// bit-identical to the serial reference implementations for every element
+// width and worker count.
 func TestParallelOTPWeightedSumMatchesSerial(t *testing.T) {
 	for _, we := range []uint{8, 16, 32, 64} {
 		s := newTestScheme(t)
@@ -22,7 +36,7 @@ func TestParallelOTPWeightedSumMatchesSerial(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(we)))
 		for trial := 0; trial < 10; trial++ {
-			pf := 1 + rng.Intn(150)
+			pf := 1 + rng.Intn(300)
 			idx := make([]int, pf)
 			w := make([]uint64, pf)
 			for k := range idx {
@@ -39,7 +53,7 @@ func TestParallelOTPWeightedSumMatchesSerial(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 3, 8, 177} {
 				opts := QueryOptions{Workers: workers}
-				got, err := tab.OTPWeightedSumCtx(context.Background(), idx, w, opts)
+				got, gotTag, err := otpHalf(context.Background(), tab, idx, w, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -48,10 +62,6 @@ func TestParallelOTPWeightedSumMatchesSerial(t *testing.T) {
 						t.Fatalf("we=%d workers=%d trial=%d col=%d: %d != %d",
 							we, workers, trial, j, got[j], want[j])
 					}
-				}
-				gotTag, err := tab.TagPadSumCtx(context.Background(), idx, w, opts)
-				if err != nil {
-					t.Fatal(err)
 				}
 				if !gotTag.Equal(wantTag) {
 					t.Fatalf("we=%d workers=%d trial=%d: tag pad sum diverged", we, workers, trial)
@@ -151,11 +161,12 @@ func TestQueryCtxCancelled(t *testing.T) {
 		idx[k] = k % 8
 		w[k] = 1
 	}
-	if _, err := tab.OTPWeightedSumCtx(ctx, idx, w, QueryOptions{Workers: 4}); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled OTPWeightedSumCtx: got %v", err)
+	eres := make([]uint64, geo.Params.M)
+	if err := tab.otpShares(ctx, idx, w, QueryOptions{Workers: 4}, eres, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled pad-only OTP half: got %v", err)
 	}
-	if _, err := tab.TagPadSumCtx(ctx, idx, w, QueryOptions{Workers: 4}); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled TagPadSumCtx: got %v", err)
+	if _, _, err := otpHalf(ctx, tab, idx, w, QueryOptions{Workers: 4}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled fused pad+tag OTP half: got %v", err)
 	}
 }
 
@@ -195,7 +206,7 @@ func TestPadCacheHitsAndEviction(t *testing.T) {
 	}
 	want, _ := tab.OTPWeightedSum(idx, w)
 	for round := 0; round < 3; round++ {
-		got, err := tab.OTPWeightedSumCtx(context.Background(), idx, w,
+		got, _, err := otpHalf(context.Background(), tab, idx, w,
 			QueryOptions{Workers: 2, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +236,7 @@ func TestPadCacheHitsAndEviction(t *testing.T) {
 		sw[k] = 1
 	}
 	wantSweep, _ := tab.OTPWeightedSum(sweep, sw)
-	gotSweep, err := tab.OTPWeightedSumCtx(context.Background(), sweep, sw,
+	gotSweep, _, err := otpHalf(context.Background(), tab, sweep, sw,
 		QueryOptions{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +286,7 @@ func TestPadCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := tab.OTPWeightedSumCtx(context.Background(), idx, w,
+			got, _, err := otpHalf(context.Background(), tab, idx, w,
 				QueryOptions{Workers: 2, Cache: cache})
 			if err != nil {
 				t.Error(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -467,7 +468,7 @@ func TestVerifiedQueryMultiSubstringChecksum(t *testing.T) {
 	}
 }
 
-func TestQueryElemWrapper(t *testing.T) {
+func TestQueryElemCtxValidates(t *testing.T) {
 	s := newTestScheme(t)
 	mem := memory.NewSpace()
 	geo := mkGeometry(memory.TagNone, 8, 32, 32)
@@ -475,19 +476,19 @@ func TestQueryElemWrapper(t *testing.T) {
 	rows := randRows(rng, geo.ringOf(), 8, 32)
 	tab, _ := s.EncryptTable(mem, geo, 1, rows)
 	ndp := &HonestNDP{Mem: mem}
-	got, err := tab.QueryElem(ndp, []int{1, 3}, []int{5, 9}, []uint64{2, 7})
+	got, err := tab.QueryElemCtx(context.Background(), ndp, []int{1, 3}, []int{5, 9}, []uint64{2, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := geo.ringOf()
 	want := r.Reduce(2*rows[1][5] + 7*rows[3][9])
 	if got != want {
-		t.Errorf("QueryElem = %d, want %d", got, want)
+		t.Errorf("QueryElemCtx = %d, want %d", got, want)
 	}
-	if _, err := tab.QueryElem(ndp, []int{1}, []int{0, 1}, []uint64{1}); err == nil {
+	if _, err := tab.QueryElemCtx(context.Background(), ndp, []int{1}, []int{0, 1}, []uint64{1}); err == nil {
 		t.Error("jdx length mismatch accepted")
 	}
-	if _, err := tab.QueryElem(ndp, []int{9}, []int{0}, []uint64{1}); err == nil {
+	if _, err := tab.QueryElemCtx(context.Background(), ndp, []int{9}, []int{0}, []uint64{1}); err == nil {
 		t.Error("row out of range accepted")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"secndp"
 	"secndp/internal/core"
 	"secndp/internal/field"
 	"secndp/internal/memenc"
@@ -110,6 +111,16 @@ func suite(quick bool) ([]func() (string, testing.BenchmarkResult), error) {
 		return nil, err
 	}
 	ndp := &core.HonestNDP{Mem: mem}
+	// The same contents behind the public facade, default engine options.
+	eng, err := secndp.New([]byte(benchKey))
+	if err != nil {
+		return nil, err
+	}
+	facadeTab, err := eng.CreateTable(context.Background(), secndp.LocalBackend(secndp.NewMemory()),
+		secndp.TableSpec{Name: "perf", Rows: numRows, Cols: m, ElemBits: we}, rows)
+	if err != nil {
+		return nil, err
+	}
 	idx := make([]int, batch)
 	weights := make([]uint64, batch)
 	for k := range idx {
@@ -256,6 +267,22 @@ func suite(quick bool) ([]func() (string, testing.BenchmarkResult), error) {
 				}
 				span.SetStatus(true, false)
 				span.End()
+			}
+		}),
+		bench("secndp/query_verified", int64(batch*rowBytes), func(b *testing.B) {
+			// The core/query_verified query through the public Table.Query:
+			// the single-query engine plus the facade's state load, result
+			// assembly and timing. bench-smoke gates it at the core
+			// query's bound, so facade overhead cannot creep back in.
+			req := secndp.Request{Idx: idx, Weights: weights}
+			for i := 0; i < b.N; i++ {
+				res, err := facadeTab.Query(context.Background(), req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Verified {
+					b.Fatal("facade query not verified")
+				}
 			}
 		}),
 		bench("telemetry/disabled_record", 0, func(b *testing.B) {

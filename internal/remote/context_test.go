@@ -138,8 +138,8 @@ func TestProvisionContextCancelled(t *testing.T) {
 	}
 }
 
-// The remote client satisfies core.ContextNDP, so the concurrent engine
-// drives it end to end: honest queries verify, tampered memory is caught.
+// The remote client satisfies core.ContextNDP, so the query engine
+// overlaps its round trip with the OTP half and drives it end to end: honest queries verify, tampered memory is caught.
 func TestQueryCtxOverRemote(t *testing.T) {
 	_, mem, addr := startServer(t)
 	client := dial(t, addr)

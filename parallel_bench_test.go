@@ -9,11 +9,11 @@ import (
 	"secndp/internal/memory"
 )
 
-// The acceptance benchmark for the concurrent query engine: sharding the
-// OTP pad loop across 8 workers versus the serial reference, on a batch
-// large enough (512 rows) for the fan-out to amortize. On a multi-core
-// machine the parallel variant is expected ≥2× faster; per-op allocations
-// stay flat because each worker reuses its pad buffer.
+// Worker-count scaling of the query engine: the verified protocol over a
+// query large enough (512 rows) for the OTP half to shard, at 1 to 8
+// workers. On a multi-core machine more workers are expected to be
+// faster; per-op allocations stay flat because each shard reuses pooled
+// scratch.
 
 const (
 	benchParRows  = 4096
@@ -21,41 +21,7 @@ const (
 	benchParBatch = 512
 )
 
-func benchParQuery(b *testing.B) (*core.Table, []int, []uint64) {
-	b.Helper()
-	_, _, tab, _ := benchTable(b, memory.TagSep, benchParRows, benchParCols, 32)
-	rng := rand.New(rand.NewSource(42))
-	idx := make([]int, benchParBatch)
-	w := make([]uint64, benchParBatch)
-	for k := range idx {
-		idx[k] = rng.Intn(benchParRows)
-		w[k] = 1 + uint64(rng.Intn(16))
-	}
-	return tab, idx, w
-}
-
-func benchOTPWeightedSum(b *testing.B, workers int) {
-	tab, idx, w := benchParQuery(b)
-	ctx := context.Background()
-	opts := core.QueryOptions{Workers: workers}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tab.OTPWeightedSumCtx(ctx, idx, w, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOTPWeightedSumSerial(b *testing.B)    { benchOTPWeightedSum(b, 1) }
-func BenchmarkOTPWeightedSumParallel2(b *testing.B) { benchOTPWeightedSum(b, 2) }
-func BenchmarkOTPWeightedSumParallel4(b *testing.B) { benchOTPWeightedSum(b, 4) }
-func BenchmarkOTPWeightedSumParallel8(b *testing.B) { benchOTPWeightedSum(b, 8) }
-
-// BenchmarkQueryCtxParallel8 runs the whole verified protocol through the
-// concurrent engine (NDP, OTP shares, and tag pads overlapped) — compare
-// against BenchmarkQueryVerified, the serialized reference.
-func BenchmarkQueryCtxParallel8(b *testing.B) {
+func benchQueryCtxWorkers(b *testing.B, workers int) {
 	_, mem, tab, _ := benchTable(b, memory.TagSep, benchParRows, benchParCols, 32)
 	ndp := &core.HonestNDP{Mem: mem}
 	rng := rand.New(rand.NewSource(43))
@@ -66,7 +32,8 @@ func BenchmarkQueryCtxParallel8(b *testing.B) {
 		w[k] = 1 + uint64(rng.Intn(4))
 	}
 	ctx := context.Background()
-	opts := core.QueryOptions{Workers: 8, Verify: true}
+	opts := core.QueryOptions{Workers: workers, Verify: true}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tab.QueryCtx(ctx, ndp, idx, w, opts); err != nil {
@@ -75,11 +42,17 @@ func BenchmarkQueryCtxParallel8(b *testing.B) {
 	}
 }
 
+func BenchmarkQueryCtxSerial(b *testing.B)    { benchQueryCtxWorkers(b, 1) }
+func BenchmarkQueryCtxParallel2(b *testing.B) { benchQueryCtxWorkers(b, 2) }
+func BenchmarkQueryCtxParallel4(b *testing.B) { benchQueryCtxWorkers(b, 4) }
+func BenchmarkQueryCtxParallel8(b *testing.B) { benchQueryCtxWorkers(b, 8) }
+
 // BenchmarkPadCacheHotRows measures the cache's payoff on DLRM-like skew:
-// the same 64 hot rows dominate every query, so after warmup nearly every
-// pad comes from the cache instead of AES regeneration.
+// the same 64 hot rows dominate every unverified query, so after warmup
+// nearly every pad comes from the cache instead of AES regeneration.
 func BenchmarkPadCacheHotRows(b *testing.B) {
-	tab, _, _ := benchParQuery(b)
+	_, mem, tab, _ := benchTable(b, memory.TagSep, benchParRows, benchParCols, 32)
+	ndp := &core.HonestNDP{Mem: mem}
 	rng := rand.New(rand.NewSource(44))
 	idx := make([]int, benchParBatch)
 	w := make([]uint64, benchParBatch)
@@ -92,7 +65,7 @@ func BenchmarkPadCacheHotRows(b *testing.B) {
 	opts := core.QueryOptions{Workers: 1, Cache: cache}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tab.OTPWeightedSumCtx(ctx, idx, w, opts); err != nil {
+		if _, err := tab.QueryCtx(ctx, ndp, idx, w, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,7 +21,7 @@ import (
 // This file is the public facade over internal/core, internal/memory, and
 // internal/remote: one Engine per secret key, one Table per encrypted
 // region, and a single Query entry point that routes through the
-// concurrent query engine (internal/core/parallel.go) regardless of
+// single query engine (internal/core/parallel.go) regardless of
 // whether the NDP is an in-process memory space or a remote server.
 
 // Sentinel errors, re-exported so callers never import internal packages.
@@ -130,8 +130,10 @@ type config struct {
 type Option func(*config)
 
 // WithParallelism fixes the worker count of the OTP-side pad generator
-// (the software analogue of the paper's multiple OTP engines, §V-C2).
-// n <= 0 — the default — selects GOMAXPROCS.
+// (the software analogue of the paper's multiple OTP engines, §V-C2). It
+// applies only to queries of 128 rows or more, whose pad pass shards
+// across the workers, and to batches; shorter queries run on the
+// caller's goroutine. n <= 0 — the default — selects GOMAXPROCS.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.workers = n }
 }
@@ -530,8 +532,10 @@ type Result struct {
 	// over the filled gather and passed.
 	Degraded bool
 	// Timing is the query's per-phase anatomy (always populated; no
-	// telemetry registry required). The concurrent phases overlap, so they
-	// do not sum to Timing.Total.
+	// telemetry registry required). Timing.Pad covers the fused data and
+	// tag keystream pass. For in-process NDPs the phases run one after
+	// the other; a remote or cluster NDP's round trip overlaps Pad and
+	// Tag, so then they do not sum to Timing.Total.
 	Timing Timing
 	// Trace is the query's trace ID in hex, when the engine runs with
 	// WithTelemetry: feed it to the registry's /debug/trace/{id} endpoint
@@ -541,11 +545,19 @@ type Result struct {
 	Trace string
 }
 
-// Query runs one request through the concurrent engine: the NDP computes
-// its ciphertext sums while the worker pool regenerates OTP shares and
-// tag pads, and the joined result is decrypted and (by policy) verified.
-// It subsumes the former Query / QueryVerified / QueryElem triplet.
+// Query runs one request through the query engine: one fused keystream
+// pass regenerates the row OTP shares and tag pads on the caller's
+// goroutine, the NDP computes its ciphertext sums, and the joined result
+// is decrypted and (by policy) verified. For in-process NDPs
+// (LocalBackend) the two halves run one after the other; a remote or
+// cluster NDP's round trip overlaps the OTP half. The pad pass shards
+// across WithParallelism workers only for requests of 128 rows or more.
+// It subsumes the former Query / QueryVerified / QueryElem triplet. A nil
+// ctx means context.Background().
 func (t *Table) Query(ctx context.Context, req Request) (Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	return t.query(ctx, req, t.eng.cfg.workers)
 }
 
@@ -766,8 +778,11 @@ func (t *Table) queryElemFallback(ctx context.Context, st *tableState, req Reque
 // The results align with the requests; the error aggregates every
 // per-request failure (annotated with its index), so
 // errors.Is(err, ErrVerification) detects a rejected result anywhere in
-// the batch.
+// the batch. A nil ctx means context.Background().
 func (t *Table) QueryBatch(ctx context.Context, reqs []Request) ([]Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	out := make([]Result, len(reqs))
 	if len(reqs) == 0 {
 		return out, nil

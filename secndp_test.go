@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -310,4 +311,109 @@ func TestFacadeCloseReleasesName(t *testing.T) {
 	if _, err := eng.CreateTable(context.Background(), LocalBackend(mem), TableSpec{Name: "tmp", Rows: 4, Cols: 32, Base: 0x600000}, rows); err != nil {
 		t.Errorf("name not reusable after Close: %v", err)
 	}
+}
+
+// Regression: every facade query form accepts a nil ctx as
+// context.Background() — an element-indexed request used to dereference
+// it.
+func TestFacadeNilContext(t *testing.T) {
+	eng, _ := New(testKey)
+	rng := rand.New(rand.NewSource(8))
+	rows := testRows(rng, 16, 32, 1<<20)
+	tab, err := eng.CreateTable(context.Background(), LocalBackend(NewMemory()), TableSpec{Rows: 16, Cols: 32}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	var nilCtx context.Context
+	row := Request{Idx: []int{2, 5}, Weights: []uint64{3, 4}}
+	res, err := tab.Query(nilCtx, row)
+	if err != nil {
+		t.Fatalf("row query: %v", err)
+	}
+	want := plainSum(rows, row.Idx, row.Weights, 32, 0xFFFFFFFF)
+	for j := range want {
+		if res.Values[j] != want[j] {
+			t.Fatalf("row query col %d: %d != %d", j, res.Values[j], want[j])
+		}
+	}
+	res, err = tab.Query(nilCtx, Request{Idx: []int{1, 3}, Cols: []int{5, 9}, Weights: []uint64{2, 7}})
+	if err != nil {
+		t.Fatalf("element query: %v", err)
+	}
+	if w := (2*rows[1][5] + 7*rows[3][9]) & 0xFFFFFFFF; len(res.Values) != 1 || res.Values[0] != w {
+		t.Errorf("element query = %v, want [%d]", res.Values, w)
+	}
+	out, err := tab.QueryBatch(nilCtx, []Request{row, {Idx: []int{0, 1, 2}, Cols: []int{0, 1, 2}, Weights: []uint64{1, 1, 1}}})
+	if err != nil {
+		t.Fatalf("batch query: %v", err)
+	}
+	for j := range want {
+		if out[0].Values[j] != want[j] {
+			t.Fatalf("batch query col %d: %d != %d", j, out[0].Values[j], want[j])
+		}
+	}
+	if w := (rows[0][0] + rows[1][1] + rows[2][2]) & 0xFFFFFFFF; out[1].Values[0] != w {
+		t.Errorf("batch element query = %v, want [%d]", out[1].Values, w)
+	}
+}
+
+// TestFacadeConcurrentQueryHammer drives concurrent Table.Query calls —
+// serial and sharded OTP halves (PF below and above 128), verified and
+// unverified, through a shared pad cache — and checks every result
+// against the plaintext oracle. Run it under the race detector: queries
+// share pooled scratch, the pad cache and the table state.
+func TestFacadeConcurrentQueryHammer(t *testing.T) {
+	eng, err := New(testKey, WithParallelism(4), WithPadCache(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, m = 256, 16
+	rng := rand.New(rand.NewSource(9))
+	rows := testRows(rng, n, m, 1<<16)
+	tab, err := eng.CreateTable(context.Background(), LocalBackend(NewMemory()), TableSpec{Rows: n, Cols: m}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	reqs := make([]Request, 24)
+	for i := range reqs {
+		pf := 1 + rng.Intn(100)
+		if i%3 == 0 {
+			pf = 128 + rng.Intn(200)
+		}
+		reqs[i] = Request{Idx: make([]int, pf), Weights: make([]uint64, pf), Unverified: i%4 == 1}
+		for k := 0; k < pf; k++ {
+			reqs[i].Idx[k] = rng.Intn(n)
+			reqs[i].Weights[k] = 1 + rng.Uint64()%8
+		}
+	}
+	const workers, iters = 8, 30
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < iters; it++ {
+				req := reqs[(g*iters+it)%len(reqs)]
+				res, err := tab.Query(context.Background(), req)
+				if err != nil {
+					t.Errorf("worker %d iter %d: %v", g, it, err)
+					return
+				}
+				if res.Verified == req.Unverified {
+					t.Errorf("worker %d iter %d: Verified = %v for Unverified = %v", g, it, res.Verified, req.Unverified)
+					return
+				}
+				want := plainSum(rows, req.Idx, req.Weights, m, 0xFFFFFFFF)
+				for j := range want {
+					if res.Values[j] != want[j] {
+						t.Errorf("worker %d iter %d col %d: %d != %d", g, it, j, res.Values[j], want[j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -40,22 +40,24 @@ func WithTelemetry(reg *Telemetry) Option {
 }
 
 // Timing is one query's anatomy: the wall-clock total plus each
-// architectural phase's own elapsed time. Pad, NDP, and Tag run
-// concurrently (the paper's OTP engines run ahead of the NDP, §V-C2), so
-// the phases deliberately do not sum to Total. Phases that did not run
-// are zero; Fallback is non-zero exactly when the result was recomputed
-// from the TEE mirror. Timing is always populated — no registry needed.
+// architectural phase's own elapsed time. For in-process NDPs the phases
+// run one after the other; a remote or cluster NDP's round trip overlaps
+// Pad and Tag (the paper's OTP engines run ahead of the NDP, §V-C2), so
+// then the phases do not sum to Total. Phases that did not run are zero;
+// Fallback is non-zero exactly when the result was recomputed from the
+// TEE mirror. Timing is always populated — no registry needed.
 type Timing struct {
 	// Total is the query's end-to-end latency inside the facade.
 	Total time.Duration
-	// Pad is the OTP-share half: pad regeneration fused with the weighted
-	// accumulate (Algorithm 4's trusted side).
+	// Pad is the fused keystream pass: data-pad regeneration fused with
+	// the weighted accumulate (Algorithm 4's trusted side) and, when
+	// verifying, each row's tag pad from the same pass.
 	Pad time.Duration
 	// NDP is the untrusted half's round trip: ciphertext sums (plus tag
 	// sums when verifying) and, for remote tables, the transport.
 	NDP time.Duration
-	// Tag is the tag-pad regeneration and field sum (Algorithm 5's
-	// trusted side), overlapped with Pad and NDP.
+	// Tag is the field fold of the tag pads Pad produced (Algorithm 5's
+	// trusted side).
 	Tag time.Duration
 	// Verify is the join: share addition (decrypt), checksum recompute,
 	// and the encrypted-MAC compare.
